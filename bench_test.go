@@ -485,12 +485,33 @@ func BenchmarkRealWorld_Accuracy(b *testing.B) {
 // cost every evaluation grid multiplies. The before/after table for the
 // spatial-index / zero-alloc / world-cache work lives in BENCH_2.json.
 func BenchmarkRun(b *testing.B) {
+	timing := scenario.SILTiming()
 	b.ReportAllocs()
+	ticks := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := scenario.RunGridCell(core.V3, 2, 4, 42, scenario.SILTiming(), nil); err != nil {
+		r, err := scenario.RunGridCell(core.V3, 2, 4, 42, timing, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		ticks += missionTicks(r, timing)
 	}
+	reportTicks(b, ticks)
+}
+
+// missionTicks is the exact number of control ticks a mission flew.
+func missionTicks(r scenario.Result, t scenario.Timing) int {
+	return int(math.Round(r.Duration / t.Dt))
+}
+
+// reportTicks splits a mission benchmark's cost into ticks/op × µs/tick,
+// so an engine speed-up is never confused with a mission that flew fewer
+// ticks.
+func reportTicks(b *testing.B, ticks int) {
+	if ticks == 0 {
+		return
+	}
+	b.ReportMetric(float64(ticks)/float64(b.N), "ticks/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(ticks), "µs/tick")
 }
 
 // BenchmarkRunPipelined is BenchmarkRun with the staged runner: the same
@@ -502,11 +523,15 @@ func BenchmarkRunPipelined(b *testing.B) {
 	timing.Pipeline = scenario.PipelineOn
 	timing.PipelineLatencyTicks = 2
 	b.ReportAllocs()
+	ticks := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := scenario.RunGridCell(core.V3, 2, 4, 42, timing, nil); err != nil {
+		r, err := scenario.RunGridCell(core.V3, 2, 4, 42, timing, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		ticks += missionTicks(r, timing)
 	}
+	reportTicks(b, ticks)
 }
 
 // BenchmarkRunFast is BenchmarkRun through the tolerance-verified fast
@@ -520,11 +545,15 @@ func BenchmarkRunPipelined(b *testing.B) {
 func BenchmarkRunFast(b *testing.B) {
 	timing := scenario.SILTiming().WithFast()
 	b.ReportAllocs()
+	ticks := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := scenario.RunGridCell(core.V3, 2, 4, 42, timing, nil); err != nil {
+		r, err := scenario.RunGridCell(core.V3, 2, 4, 42, timing, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		ticks += missionTicks(r, timing)
 	}
+	reportTicks(b, ticks)
 }
 
 // BenchmarkRunFaultsOff is BenchmarkRun flown through a Timing profile

@@ -94,11 +94,25 @@ func buildSpec(cf *cliutil.CampaignFlags, tool string, maps, scenarios, repeats 
 	if maps < 1 || maps > 10 || scenarios < 1 || scenarios > worldgen.NumScenariosPerMap {
 		return campaign.Spec{}, "", fmt.Errorf("-maps must be 1-10 and -scenarios 1-10")
 	}
-	faultPlan, err := cf.FaultPlan()
+	spec, profile, err := toolSpec(cf, tool, maps, scenarios, repeats, gens, runs, pipelineLag)
 	if err != nil {
 		return campaign.Spec{}, "", err
 	}
+	// The fault plan and the fleet spec ride Timing for every tool, as in
+	// each tool's own main; Canonical folds inactive knobs the same way.
+	if spec.Timing.Faults, err = cf.FaultPlan(); err != nil {
+		return campaign.Spec{}, "", err
+	}
+	if spec.Timing.Fleet, err = cf.FleetSpec(); err != nil {
+		return campaign.Spec{}, "", err
+	}
+	spec.Timing = spec.Timing.Canonical()
+	return spec, profile, nil
+}
 
+// toolSpec builds the named tool's grid and timing profile, before the
+// knobs shared by every tool.
+func toolSpec(cf *cliutil.CampaignFlags, tool string, maps, scenarios, repeats int, gens string, runs, pipelineLag int) (campaign.Spec, string, error) {
 	switch tool {
 	case "sil":
 		var selected []core.Generation
@@ -129,7 +143,6 @@ func buildSpec(cf *cliutil.CampaignFlags, tool string, maps, scenarios, repeats 
 		if cf.Fast {
 			spec.Timing = spec.Timing.WithFast()
 		}
-		spec.Timing.Faults = faultPlan
 		return spec, "", nil
 
 	case "hil-maxn", "hil-5w":
@@ -142,7 +155,6 @@ func buildSpec(cf *cliutil.CampaignFlags, tool string, maps, scenarios, repeats 
 		if cf.Pipeline {
 			plan = hil.DerivePipelinedPlan(profile, costs)
 		}
-		plan.Timing.Faults = faultPlan
 		if cf.Fast {
 			plan.Timing = plan.Timing.WithFast()
 		}
@@ -165,7 +177,6 @@ func buildSpec(cf *cliutil.CampaignFlags, tool string, maps, scenarios, repeats 
 		if cf.Pipeline {
 			plan = hil.DerivePipelinedPlan(hil.JetsonNanoMAXN(), hil.FieldCosts())
 		}
-		plan.Timing.Faults = faultPlan
 		if cf.Fast {
 			plan.Timing = plan.Timing.WithFast()
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"time"
@@ -76,8 +75,7 @@ func (f *CampaignFlags) ServeCampaign(ctx context.Context, tool string, spec cam
 	// /debug/pprof, scrapeable mid-campaign.
 	mux := obs.DebugMux()
 	mux.Handle("/", c.Handler())
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
+	srv := serve(ln, mux)
 
 	fmt.Printf("%s: coordinating %d runs on %s (lease TTL %s)\n", tool, spec.Total(), ln.Addr(), f.LeaseTTL)
 	fmt.Printf("%s: join with: %s -join http://<this-host>:%d [-workers N]\n", tool, tool, ln.Addr().(*net.TCPAddr).Port)

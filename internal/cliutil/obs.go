@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"sync"
 
@@ -103,7 +102,7 @@ func (f *CampaignFlags) StartDebug(tool string) error {
 		return fmt.Errorf("debug listener: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "%s: debug listener on http://%s/metrics\n", tool, ln.Addr())
-	go http.Serve(ln, obs.DebugMux())
+	serve(ln, obs.DebugMux())
 	return nil
 }
 

@@ -163,6 +163,25 @@ func (s *System) Map() mapping.Map { return s.deps.Map }
 // precomputed Detections, so Step never reaches it concurrently.
 func (s *System) Detector() detect.Detector { return s.deps.Detector }
 
+// Release hands the system's recyclable per-mission buffers — detector
+// scratch and map storage — back to their pools, for every dependency
+// that has any. Call it once the mission has stopped and every stage
+// goroutine has drained: afterwards the system must not be stepped and
+// its Map must not be read. Stats, Events and Results hold none of these
+// buffers, so they stay valid.
+func (s *System) Release() {
+	release(s.deps.Detector)
+	release(s.deps.Map)
+}
+
+// release calls dep's Release when it has one. Each Release is
+// idempotent, so a map wired as both Map and LocalMap is safe.
+func release(dep any) {
+	if r, ok := dep.(interface{ Release() }); ok {
+		r.Release()
+	}
+}
+
 // SetDetectionTap installs (or clears, with nil) the detection fault hook:
 // every frame's detector output passes through tap before the decision
 // layer sees it. The tap may return a slice it owns; the system consumes

@@ -32,7 +32,7 @@ type Classical struct {
 	// the grid is undersampled.
 	MinSidePx float64
 
-	scratch detScratch
+	scratch *detScratch // taken from the pool on first use, nil after Release
 }
 
 // NewClassical returns the pipeline with the OpenCV-equivalent defaults
@@ -51,21 +51,33 @@ func NewClassical(dict *vision.Dictionary) *Classical {
 // Name implements Detector.
 func (c *Classical) Name() string { return "opencv-classical" }
 
-// Detect implements Detector.
+// Detect implements Detector. The result is valid until the next call.
 func (c *Classical) Detect(im *vision.Image) []Detection {
 	if im.W == 0 || im.H == 0 {
 		return nil
 	}
-	mask := adaptiveThreshold(im, c.Window, c.Offset, &c.scratch)
-	comps := findComponents(mask, im.W, im.H, &c.scratch)
-	var out []Detection
-	for _, comp := range comps {
-		det, ok := c.decode(im, comp)
+	if c.scratch == nil {
+		c.scratch = scratchPool.Get().(*detScratch)
+	}
+	s := c.scratch
+	mask := adaptiveThreshold(im, c.Window, c.Offset, s)
+	comps := findComponents(mask, im.W, im.H, s)
+	out := s.dets[:0]
+	for i := range comps {
+		det, ok := c.decode(im, &comps[i])
 		if ok {
 			out = append(out, det)
 		}
 	}
+	s.dets = out
 	return dedupe(out)
+}
+
+// Release hands the detector's scratch back to the pool once its mission
+// has ended; a later Detect takes a fresh one.
+func (c *Classical) Release() {
+	putScratch(c.scratch)
+	c.scratch = nil
 }
 
 // decode attempts to read a marker code out of one candidate component.
@@ -176,12 +188,14 @@ func sampleGrid(im *vision.Image, cx, cy, side, angle float64) ([gridCells * gri
 }
 
 // dedupe collapses detections whose centers fall within half a marker side
-// of one another, keeping the most confident.
+// of one another, keeping the most confident. It compacts dets in place
+// (the kept prefix never overtakes the element being read) and returns
+// that prefix.
 func dedupe(dets []Detection) []Detection {
 	if len(dets) <= 1 {
 		return dets
 	}
-	kept := make([]Detection, 0, len(dets))
+	kept := dets[:0]
 	for _, d := range dets {
 		merged := false
 		for i := range kept {

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/vision"
 )
@@ -15,7 +16,6 @@ type component struct {
 	cx, cy        float64 // centroid
 	angle         float64 // min-area-rect orientation, radians in [0, pi/2)
 	width, height float64 // min-area-rect extents (width >= height)
-	pixels        []int   // linear indices into the mask, for moment math
 }
 
 // bboxW and bboxH return the axis-aligned bounding-box extents.
@@ -23,9 +23,13 @@ func (c *component) bboxW() int { return c.maxX - c.minX + 1 }
 func (c *component) bboxH() int { return c.maxY - c.minY + 1 }
 
 // detScratch holds the per-detector reusable buffers of the shared
-// proposal pipeline (integral image, threshold mask, flood-fill state), so
-// steady-state detection does not reallocate per frame. Each detector
-// instance owns one; detectors are single-goroutine.
+// proposal pipeline — integral image, threshold mask, flood-fill state,
+// the component and pixel arenas, and the detection output — so
+// steady-state detection allocates nothing per frame. Each detector
+// instance owns one (detectors are single-goroutine) and hands it back to
+// a process-wide pool on Release. Every buffer is overwritten or
+// truncated before it is read, so a recycled scratch behaves exactly like
+// a fresh one.
 type detScratch struct {
 	integral vision.Integral
 	mask     []bool
@@ -33,6 +37,20 @@ type detScratch struct {
 	queue    []int
 	rowMinX  []int32
 	rowMaxX  []int32
+
+	comps  []component // this frame's candidates
+	pixels []int       // the component being filled, linear mask indices
+	dets   []Detection // Detect's result, valid until the next call
+}
+
+// scratchPool recycles detector scratch across missions.
+var scratchPool = sync.Pool{New: func() any { return new(detScratch) }}
+
+// putScratch returns a detector's scratch, if it took one, to the pool.
+func putScratch(s *detScratch) {
+	if s != nil {
+		scratchPool.Put(s)
+	}
 }
 
 // adaptiveThreshold returns a boolean mask of pixels darker than their
@@ -77,9 +95,10 @@ func adaptiveThreshold(im *vision.Image, window int, offset float64, s *detScrat
 }
 
 // findComponents labels 4-connected dark regions in the mask and returns
-// those within the plausible marker size band. Flood-fill state lives in
-// the scratch so the hot path stays allocation-light.
-func findComponents(mask []bool, w, h int, s *detScratch) []*component {
+// those within the plausible marker size band. Flood-fill state and the
+// returned components live in the scratch arena: the slice is valid until
+// the next call, and steady-state frames allocate nothing.
+func findComponents(mask []bool, w, h int, s *detScratch) []component {
 	if w == 0 || h == 0 {
 		return nil
 	}
@@ -95,7 +114,7 @@ func findComponents(mask []bool, w, h int, s *detScratch) []*component {
 		s.queue = make([]int, 0, 256)
 	}
 	queue := s.queue
-	var comps []*component
+	comps := s.comps[:0]
 	for start := range mask {
 		if !mask[start] || visited[start] {
 			continue
@@ -104,14 +123,15 @@ func findComponents(mask []bool, w, h int, s *detScratch) []*component {
 		queue = queue[:0]
 		queue = append(queue, start)
 		visited[start] = true
-		c := &component{minX: w, minY: h}
+		c := component{minX: w, minY: h}
+		pixels := s.pixels[:0]
 		var sx, sy float64
 		for len(queue) > 0 {
 			idx := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
 			x, y := idx%w, idx/w
 			c.area++
-			c.pixels = append(c.pixels, idx)
+			pixels = append(pixels, idx)
 			sx += float64(x)
 			sy += float64(y)
 			if x < c.minX {
@@ -144,20 +164,23 @@ func findComponents(mask []bool, w, h int, s *detScratch) []*component {
 				queue = append(queue, idx+w)
 			}
 		}
+		s.pixels = pixels
 		if c.area < minComponentArea || c.area > maxArea {
 			continue
 		}
 		c.cx = sx / float64(c.area)
 		c.cy = sy / float64(c.area)
-		fitMinAreaRect(c, w, s)
+		fitMinAreaRect(&c, pixels, w, s)
 		comps = append(comps, c)
 	}
 	s.queue = queue[:0]
+	s.comps = comps
 	return comps
 }
 
 // fitMinAreaRect sweeps candidate orientations and records the rotation
-// minimizing the projected bounding-rectangle area. A square marker border
+// minimizing the projected bounding-rectangle area of the component whose
+// mask indices are pixels. A square marker border
 // is rotation-ambiguous mod 90°, which the decoders resolve separately by
 // trying all four rotations of the bit grid.
 //
@@ -166,7 +189,7 @@ func findComponents(mask []bool, w, h int, s *detScratch) []*component {
 // row both projections u = x cos + y sin and v = -x sin + y cos attain
 // their extremes at the row's extreme x. Scanning those 2·rows pixels
 // yields bit-identical extents to scanning the whole component.
-func fitMinAreaRect(c *component, stride int, s *detScratch) {
+func fitMinAreaRect(c *component, pixels []int, stride int, s *detScratch) {
 	rows := c.maxY - c.minY + 1
 	if cap(s.rowMinX) < rows {
 		s.rowMinX = make([]int32, rows)
@@ -178,7 +201,7 @@ func fitMinAreaRect(c *component, stride int, s *detScratch) {
 		rowMinX[i] = int32(stride)
 		rowMaxX[i] = -1
 	}
-	for _, idx := range c.pixels {
+	for _, idx := range pixels {
 		x, y := int32(idx%stride), idx/stride-c.minY
 		if x < rowMinX[y] {
 			rowMinX[y] = x

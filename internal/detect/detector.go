@@ -44,7 +44,9 @@ type Detection struct {
 type Detector interface {
 	// Name identifies the implementation in logs and result tables.
 	Name() string
-	// Detect returns all marker sightings in the frame, best first.
+	// Detect returns all marker sightings in the frame, best first. The
+	// slice may be owned by the detector and is valid until its next
+	// Detect call; a caller that keeps detections longer copies them.
 	Detect(im *vision.Image) []Detection
 }
 

@@ -1,7 +1,9 @@
 package detect
 
 import (
+	"encoding/binary"
 	"math"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/vision"
@@ -45,8 +47,11 @@ type Learned struct {
 	// (the zero value), the detector runs the exact verify untouched.
 	Fast bool
 
+	// bank is the dictionary's shared, immutable template set; templates
+	// is its exact bank.
+	bank      *templateBank
 	templates []learnedTemplate
-	scratch   detScratch
+	scratch   *detScratch // taken from the pool on first use, nil after Release
 
 	// Fast-path state, nil/zero until EnableFast.
 	fastTpl []fastTemplate
@@ -85,19 +90,59 @@ func newLearned(dict *vision.Dictionary, tauFull, tauQuad float64, votes int) *L
 		MinSidePx:      9,
 		ProposalOffset: 0.05,
 	}
-	l.buildTemplates()
+	l.bank = bankFor(dict)
+	l.templates = l.bank.exact
 	return l
 }
 
 // Name implements Detector.
 func (l *Learned) Name() string { return "tph-yolo-equivalent" }
 
+// templateBank is the immutable template set of one dictionary: the exact
+// bank every learned detector verifies against and, built on first use,
+// the fast mode's float32 bank. Banks are built once per process per
+// dictionary and shared read-only by every detector.
+type templateBank struct {
+	exact    []learnedTemplate
+	fastOnce sync.Once
+	fast     []fastTemplate
+}
+
+// banks memoizes templateBanks by dictionary content, so equal
+// dictionaries share one bank whichever *Dictionary they arrive in.
+var banks sync.Map // string -> *templateBank
+
+// bankFor returns the shared bank of dict's markers.
+func bankFor(dict *vision.Dictionary) *templateBank {
+	key := make([]byte, 0, 4*len(dict.Markers))
+	for _, m := range dict.Markers {
+		key = binary.AppendVarint(key, int64(m.ID))
+		key = binary.LittleEndian.AppendUint16(key, m.Code())
+	}
+	if b, ok := banks.Load(string(key)); ok {
+		return b.(*templateBank)
+	}
+	b, _ := banks.LoadOrStore(string(key), &templateBank{exact: buildTemplates(dict)})
+	return b.(*templateBank)
+}
+
+// fastBank returns the float32 bank, building it on first call.
+func (b *templateBank) fastBank() []fastTemplate {
+	b.fastOnce.Do(func() {
+		b.fast = make([]fastTemplate, len(b.exact))
+		for i := range b.exact {
+			buildFastTemplate(&b.fast[i], &b.exact[i])
+		}
+	})
+	return b.fast
+}
+
 // buildTemplates renders the marker grid (border + code, no quiet zone) at
 // patch resolution for all four quarter rotations of every dictionary entry
 // and pre-normalizes them.
-func (l *Learned) buildTemplates() {
-	l.templates = l.templates[:0]
-	for _, m := range l.Dict.Markers {
+func buildTemplates(dict *vision.Dictionary) []learnedTemplate {
+	var templates []learnedTemplate
+	for _, m := range dict.Markers {
 		base := renderGridPatch(m)
 		for rot := 0; rot < 4; rot++ {
 			var t learnedTemplate
@@ -107,9 +152,10 @@ func (l *Learned) buildTemplates() {
 			for q := 0; q < 4; q++ {
 				extractQuadrant(&t, q)
 			}
-			l.templates = append(l.templates, t)
+			templates = append(templates, t)
 		}
 	}
+	return templates
 }
 
 // renderGridPatch samples the marker's grid region (border included, quiet
@@ -186,15 +232,20 @@ func extractQuadrant(t *learnedTemplate, q int) {
 	t.quad[q] = buf
 }
 
-// Detect implements Detector.
+// Detect implements Detector. The result is valid until the next call.
 func (l *Learned) Detect(im *vision.Image) []Detection {
 	if im.W == 0 || im.H == 0 {
 		return nil
 	}
-	mask := adaptiveThreshold(im, 9, l.ProposalOffset, &l.scratch)
-	comps := findComponents(mask, im.W, im.H, &l.scratch)
-	var out []Detection
-	for _, comp := range comps {
+	if l.scratch == nil {
+		l.scratch = scratchPool.Get().(*detScratch)
+	}
+	s := l.scratch
+	mask := adaptiveThreshold(im, 9, l.ProposalOffset, s)
+	comps := findComponents(mask, im.W, im.H, s)
+	out := s.dets[:0]
+	for i := range comps {
+		comp := &comps[i]
 		if comp.width < l.MinSidePx || comp.squareness() < 0.35 {
 			continue
 		}
@@ -209,7 +260,15 @@ func (l *Learned) Detect(im *vision.Image) []Detection {
 			out = append(out, det)
 		}
 	}
+	s.dets = out
 	return dedupe(out)
+}
+
+// Release hands the detector's scratch back to the pool once its mission
+// has ended; a later Detect takes a fresh one.
+func (l *Learned) Release() {
+	putScratch(l.scratch)
+	l.scratch = nil
 }
 
 // verify runs the multi-scale, multi-angle NCC search on one proposal.

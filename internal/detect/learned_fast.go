@@ -55,19 +55,16 @@ type fastScratch struct {
 	quads   [4][quadN * quadN]float32
 }
 
-// EnableFast switches Detect to the coarse-to-fine verify, building the
-// float32 template banks on first call (idempotent — the banks are kept).
-// The exact path never pays for them: a detector that stays exact
-// allocates nothing here.
+// EnableFast switches Detect to the coarse-to-fine verify. The float32
+// template bank is built once per process per dictionary, on the first
+// EnableFast of any detector using it, and shared read-only; a process
+// that stays exact never builds it. Idempotent.
 func (l *Learned) EnableFast() {
 	l.Fast = true
 	if len(l.fastTpl) == len(l.templates) {
 		return
 	}
-	l.fastTpl = make([]fastTemplate, len(l.templates))
-	for i := range l.templates {
-		buildFastTemplate(&l.fastTpl[i], &l.templates[i])
-	}
+	l.fastTpl = l.bank.fastBank()
 	l.fastCs = make([]float32, len(l.templates))
 }
 

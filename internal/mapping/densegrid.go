@@ -92,13 +92,13 @@ func (g *DenseGrid) InsertRay(origin, end geom.Vec3, hit bool) {
 // InsertCloud implements Map with per-capture voxel dedup.
 func (g *DenseGrid) InsertCloud(origin geom.Vec3, ends []geom.Vec3, hits []bool) {
 	g.scratch.collect(g.res, origin, ends, hits)
-	for _, p := range g.scratch.free {
-		if i, ok := g.index(p); ok && g.cells[i] == Unknown {
+	for _, v := range g.scratch.free {
+		if i, ok := g.index(v.p); ok && g.cells[i] == Unknown {
 			g.cells[i] = Free
 		}
 	}
-	for _, p := range g.scratch.occ {
-		g.setOccupied(p)
+	for _, v := range g.scratch.occ {
+		g.setOccupied(v.p)
 	}
 }
 

@@ -15,6 +15,13 @@ import (
 // the query is Unknown. Re-centering therefore costs nothing, and stale
 // data self-invalidates. Blocked queries hit a reference-counted inflation
 // layer maintained incrementally, exactly like the octree's.
+//
+// The ring buffer is the grid's one large structure (9 bytes per slot,
+// about 3.8 MB for MLS-V2's window), yet a mission writes only a small
+// part of it. It is therefore stored as 4×4×4-slot bricks, each taken from
+// the grid's recycled storage on its first write; an unwritten brick reads
+// Unknown, as a fresh buffer would. Bricking changes where a slot lives,
+// never which voxels share a slot.
 type LocalGrid struct {
 	res       float64
 	inflation float64
@@ -22,17 +29,30 @@ type LocalGrid struct {
 	center    geom.Vec3
 
 	nx, ny, nz int
-	keys       []voxelKey
-	states     []VoxelState
-	occupied   voxelTable // occupied voxels inside the window
+	bnx, bny   int            // window extent in bricks along x and y
+	bricks     []*windowBrick // per brick; nil until its first write
+	brickArena []windowBrick  // unused tail of the current brick chunk
+	occupied   voxelTable     // occupied voxels inside the window
 	inflated   voxelTable
 	evictBuf   []int64 // Recenter scratch
 	inflBall   [][3]int
 	scratch    cloudScratch
+	store      *mapStore // recyclable storage behind the tables (pool.go)
+}
+
+// brickSide is the window brick edge in slots (brickSide³ slots a brick).
+const brickSide = 4
+
+// windowBrick is one brick of the ring buffer: per slot, the packed key of
+// the voxel the slot currently represents and that voxel's state.
+type windowBrick struct {
+	keys   [brickSide * brickSide * brickSide]voxelKey
+	states [brickSide * brickSide * brickSide]VoxelState
 }
 
 // NewLocalGrid builds a window of the given full extents (meters) at the
-// given resolution and inflation radius.
+// given resolution and inflation radius. Window bricks are acquired on
+// their first write; MemoryBytes reports the whole window from the start.
 func NewLocalGrid(extents geom.Vec3, res, inflation float64) *LocalGrid {
 	if res <= 0 {
 		res = 0.5
@@ -40,15 +60,19 @@ func NewLocalGrid(extents geom.Vec3, res, inflation float64) *LocalGrid {
 	nx := int(extents.X/res) + 1
 	ny := int(extents.Y/res) + 1
 	nz := int(extents.Z/res) + 1
+	st := getStore(&localStores, 1024, 4096)
+	bnx, bny, bnz := bricksFor(nx), bricksFor(ny), bricksFor(nz)
 	g := &LocalGrid{
 		res:       res,
 		inflation: inflation,
 		half:      extents.Scale(0.5),
 		nx:        nx, ny: ny, nz: nz,
-		keys:     make([]voxelKey, nx*ny*nz),
-		states:   make([]VoxelState, nx*ny*nz),
-		occupied: newVoxelTable(1024),
-		inflated: newVoxelTable(4096),
+		bnx: bnx, bny: bny,
+		bricks:   st.brickIndex(bnx * bny * bnz),
+		occupied: st.occupied,
+		inflated: st.inflated,
+		scratch:  st.cloud,
+		store:    st,
 	}
 	r := int(inflation/res) + 1
 	rr := inflation + res
@@ -64,6 +88,24 @@ func NewLocalGrid(extents geom.Vec3, res, inflation float64) *LocalGrid {
 	}
 	return g
 }
+
+// Release hands the grid's window and tables back for reuse by a later
+// map (see pool.go). Call it once nothing reads the grid any more: the
+// mission has ended and every stage that plans against it has drained.
+// The grid is unusable afterwards. Release is idempotent.
+func (g *LocalGrid) Release() {
+	st := g.store
+	if st == nil {
+		return
+	}
+	st.occupied, st.inflated, st.cloud = g.occupied, g.inflated, g.scratch
+	g.bricks, g.brickArena, g.store = nil, nil, nil
+	g.occupied, g.inflated, g.scratch = voxelTable{}, voxelTable{}, cloudScratch{}
+	putStore(&localStores, st)
+}
+
+// bricksFor returns how many bricks cover n slots.
+func bricksFor(n int) int { return (n + brickSide - 1) / brickSide }
 
 // Recenter moves the window to follow the vehicle and evicts occupied
 // voxels that fell outside it.
@@ -125,8 +167,9 @@ func (g *LocalGrid) inWindow(p geom.Vec3) bool {
 	return d.X <= g.half.X && d.Y <= g.half.Y && d.Z <= g.half.Z
 }
 
-// slot returns the ring-buffer slot for voxel indices.
-func (g *LocalGrid) slot(ix, iy, iz int) int {
+// slot returns the ring-buffer slot for voxel indices: the brick index
+// and the slot's offset inside the brick.
+func (g *LocalGrid) slot(ix, iy, iz int) (brick, off int) {
 	mx := ix % g.nx
 	if mx < 0 {
 		mx += g.nx
@@ -139,7 +182,21 @@ func (g *LocalGrid) slot(ix, iy, iz int) int {
 	if mz < 0 {
 		mz += g.nz
 	}
-	return (mz*g.ny+my)*g.nx + mx
+	brick = ((mz/brickSide)*g.bny+my/brickSide)*g.bnx + mx/brickSide
+	off = ((mz%brickSide)*brickSide+my%brickSide)*brickSide + mx%brickSide
+	return brick, off
+}
+
+// newBrick hands out the next cleared brick of the grid's storage. A
+// cleared brick reads Unknown everywhere: a zero key never matches a real
+// voxel.
+func (g *LocalGrid) newBrick() *windowBrick {
+	if len(g.brickArena) == 0 {
+		g.brickArena = take(&brickChunks, &g.store.bricks)[:]
+	}
+	b := &g.brickArena[0]
+	g.brickArena = g.brickArena[1:]
+	return b
 }
 
 // State implements Map.
@@ -148,11 +205,12 @@ func (g *LocalGrid) State(p geom.Vec3) VoxelState {
 		return Unknown
 	}
 	ix, iy, iz := voxelOf(p, g.res)
-	s := g.slot(ix, iy, iz)
-	if g.keys[s] != packKey(ix, iy, iz) {
+	bi, off := g.slot(ix, iy, iz)
+	b := g.bricks[bi]
+	if b == nil || b.keys[off] != packKey(ix, iy, iz) {
 		return Unknown
 	}
-	return g.states[s]
+	return b.states[off]
 }
 
 // Blocked implements Map with a single hash probe.
@@ -178,12 +236,12 @@ func (g *LocalGrid) InsertRay(origin, end geom.Vec3, hit bool) {
 // InsertCloud implements Map with per-capture voxel dedup.
 func (g *LocalGrid) InsertCloud(origin geom.Vec3, ends []geom.Vec3, hits []bool) {
 	g.scratch.collect(g.res, origin, ends, hits)
-	for k := range g.scratch.free {
-		ix, iy, iz := keyIndices(k)
+	for _, v := range g.scratch.free {
+		ix, iy, iz := keyIndices(v.key)
 		g.write(ix, iy, iz, Free, false)
 	}
-	for k := range g.scratch.occ {
-		ix, iy, iz := keyIndices(k)
+	for _, v := range g.scratch.occ {
+		ix, iy, iz := keyIndices(v.key)
 		g.write(ix, iy, iz, Occupied, true)
 	}
 }
@@ -196,14 +254,19 @@ func (g *LocalGrid) write(ix, iy, iz int, st VoxelState, force bool) {
 	if !g.inWindow(p) {
 		return
 	}
-	s := g.slot(ix, iy, iz)
+	bi, s := g.slot(ix, iy, iz)
+	b := g.bricks[bi]
+	if b == nil {
+		b = g.newBrick()
+		g.bricks[bi] = b
+	}
 	k := packKey(ix, iy, iz)
-	if g.keys[s] == k && g.states[s] == Occupied && !force {
+	if b.keys[s] == k && b.states[s] == Occupied && !force {
 		return
 	}
-	prevOccupied := g.keys[s] == k && g.states[s] == Occupied
-	g.keys[s] = k
-	g.states[s] = st
+	prevOccupied := b.keys[s] == k && b.states[s] == Occupied
+	b.keys[s] = k
+	b.states[s] = st
 	if st == Occupied {
 		if !g.occupied.has(int64(k)) {
 			g.occupied.put(int64(k), 1)
@@ -254,9 +317,11 @@ func (g *LocalGrid) Resolution() float64 { return g.res }
 // InflationRadius implements Map.
 func (g *LocalGrid) InflationRadius() float64 { return g.inflation }
 
-// MemoryBytes implements Map.
+// MemoryBytes implements Map. The window counts in full whether or not
+// its buffer has been acquired yet: the deployed grid allocates it up
+// front.
 func (g *LocalGrid) MemoryBytes() int {
-	return len(g.keys)*8 + len(g.states) + g.occupied.n*16 + g.inflated.n*20
+	return g.nx*g.ny*g.nz*9 + g.occupied.n*16 + g.inflated.n*20
 }
 
 // OccupiedVoxels implements Map.

@@ -200,47 +200,3 @@ func absf(x float64) float64 {
 	}
 	return x
 }
-
-// cloudScratch is reusable dedup state for InsertCloud implementations.
-type cloudScratch struct {
-	free map[voxelKey]geom.Vec3 // voxel -> representative point
-	occ  map[voxelKey]geom.Vec3
-}
-
-func (c *cloudScratch) reset() {
-	if c.free == nil {
-		c.free = make(map[voxelKey]geom.Vec3, 512)
-		c.occ = make(map[voxelKey]geom.Vec3, 64)
-		return
-	}
-	clear(c.free)
-	clear(c.occ)
-}
-
-// collect walks every ray once, recording each touched voxel at most once
-// as free (pass-through) and each surface endpoint at most once as
-// occupied. Occupied wins over free for the same voxel within a capture.
-func (c *cloudScratch) collect(res float64, origin geom.Vec3, ends []geom.Vec3, hits []bool) {
-	c.reset()
-	for i, end := range ends {
-		walkRay(origin, end, res, func(ix, iy, iz int) bool {
-			k := packKey(ix, iy, iz)
-			if _, seen := c.free[k]; !seen {
-				c.free[k] = voxelCenter(ix, iy, iz, res)
-			}
-			return true
-		})
-		ex, ey, ez := voxelOf(end, res)
-		k := packKey(ex, ey, ez)
-		if i < len(hits) && hits[i] {
-			if _, seen := c.occ[k]; !seen {
-				c.occ[k] = end
-			}
-		} else if _, seen := c.free[k]; !seen {
-			c.free[k] = end
-		}
-	}
-	for k := range c.occ {
-		delete(c.free, k)
-	}
-}

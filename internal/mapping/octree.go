@@ -51,9 +51,10 @@ type Octree struct {
 	inflBall [][3]int
 
 	scratch cloudScratch
-	// arena chunks amortize node allocation: the tree allocates tens of
-	// thousands of small nodes, and individual allocations dominate GC
-	// cost otherwise.
+	// store is the recyclable storage behind the tables, the dedup set and
+	// the node arenas (pool.go); nil after Release. nodeArena/childArena
+	// are the unused tails of the current chunks.
+	store      *mapStore
 	nodeArena  []octNode
 	childArena []childBlock
 	// free lists recycle pruned nodes and child blocks: expansion/prune
@@ -85,16 +86,21 @@ func NewOctree(center geom.Vec3, halfSize, res, inflation float64) *Octree {
 		math.Round(center.Y/res)*res,
 		math.Round(center.Z/res)*res,
 	)
+	st := getStore(&octStores, 1024, 4096)
 	o := &Octree{
-		center:    center,
-		halfSize:  math.Ldexp(res, depth) / 2, // snap so leaves are exactly res
-		res:       res,
-		inflation: inflation,
-		depth:     depth,
-		root:      new(octNode),
-		nodes:     1,
-		occupied:  newVoxelTable(1024),
-		inflated:  newVoxelTable(4096),
+		center:     center,
+		halfSize:   math.Ldexp(res, depth) / 2, // snap so leaves are exactly res
+		res:        res,
+		inflation:  inflation,
+		depth:      depth,
+		root:       new(octNode),
+		nodes:      1,
+		occupied:   st.occupied,
+		inflated:   st.inflated,
+		scratch:    st.cloud,
+		store:      st,
+		freeNodes:  st.freeNodes,
+		freeBlocks: st.freeBlocks,
 	}
 	r := int(inflation/res) + 1
 	rr := inflation + res
@@ -120,7 +126,7 @@ func (o *Octree) newNode() *octNode {
 		return nd
 	}
 	if len(o.nodeArena) == 0 {
-		o.nodeArena = make([]octNode, 1024)
+		o.nodeArena = take(&nodeChunks, &o.store.nodes)[:]
 	}
 	n := &o.nodeArena[0]
 	o.nodeArena = o.nodeArena[1:]
@@ -136,7 +142,7 @@ func (o *Octree) newChildren() *childBlock {
 		return c
 	}
 	if len(o.childArena) == 0 {
-		o.childArena = make([]childBlock, 256)
+		o.childArena = take(&blockChunks, &o.store.blocks)[:]
 	}
 	c := &o.childArena[0]
 	o.childArena = o.childArena[1:]
@@ -146,12 +152,27 @@ func (o *Octree) newChildren() *childBlock {
 // InsertCloud implements Map with per-capture voxel dedup.
 func (o *Octree) InsertCloud(origin geom.Vec3, ends []geom.Vec3, hits []bool) {
 	o.scratch.collect(o.res, origin, ends, hits)
-	for _, p := range o.scratch.free {
-		o.update(p, logOddsMiss)
+	for _, v := range o.scratch.free {
+		o.update(v.p, logOddsMiss)
 	}
-	for _, p := range o.scratch.occ {
-		o.update(p, logOddsHit)
+	for _, v := range o.scratch.occ {
+		o.update(v.p, logOddsHit)
 	}
+}
+
+// Release hands the octree's storage back for reuse by a later map (see
+// pool.go). Call it once nothing reads the map any more: the mission has
+// ended and every stage that plans against it has drained. The octree is
+// unusable afterwards. Release is idempotent.
+func (o *Octree) Release() {
+	st := o.store
+	if st == nil {
+		return
+	}
+	st.occupied, st.inflated, st.cloud = o.occupied, o.inflated, o.scratch
+	st.freeNodes, st.freeBlocks = o.freeNodes, o.freeBlocks
+	*o = Octree{}
+	putStore(&octStores, st)
 }
 
 // contains reports whether p lies inside the octree cube.

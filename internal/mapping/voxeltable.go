@@ -35,6 +35,14 @@ func newVoxelTable(hint int) voxelTable {
 	return t
 }
 
+// reset empties the table, keeping its capacity.
+func (t *voxelTable) reset() {
+	for i := range t.keys {
+		t.keys[i] = emptySlot
+	}
+	t.n = 0
+}
+
 // slot hashes k to its home slot.
 func (t *voxelTable) slot(k int64) int {
 	h := uint64(k) * 0x9E3779B97F4A7C15

@@ -43,7 +43,9 @@ type Planner interface {
 	Name() string
 	// Plan returns waypoints from start to goal (inclusive of both). The
 	// returned path may end short of goal for horizon-limited planners;
-	// callers re-plan as the vehicle advances.
+	// callers re-plan as the vehicle advances. The path may be owned by
+	// the planner and is valid until its next Plan call; a caller that
+	// keeps it longer copies it.
 	Plan(start, goal geom.Vec3, m mapping.Map) ([]geom.Vec3, error)
 }
 
@@ -92,8 +94,15 @@ func Shortcut(m mapping.Map, path []geom.Vec3, step float64) []geom.Vec3 {
 	if len(path) <= 2 {
 		return path
 	}
-	out := make([]geom.Vec3, 0, len(path))
-	out = append(out, path[0])
+	return shortcutInto(make([]geom.Vec3, 0, len(path)), m, path, step)
+}
+
+// shortcutInto is Shortcut appending to dst, which must not alias path.
+func shortcutInto(dst []geom.Vec3, m mapping.Map, path []geom.Vec3, step float64) []geom.Vec3 {
+	if len(path) <= 2 {
+		return append(dst, path...)
+	}
+	out := append(dst, path[0])
 	i := 0
 	for i < len(path)-1 {
 		// Find the farthest j reachable in a straight clear line.

@@ -290,6 +290,13 @@ func runFleet(sc *worldgen.Scenario, sys *core.System, cfg RunConfig, fl *FleetS
 		if status[j] == tickContinue {
 			m.classify()
 		}
+		// The fleet flew on this goroutine and has stopped: recycle every
+		// member's cameras, and the wingmen's systems (the caller owns the
+		// primary's).
+		m.color.Release()
+		if j > 0 {
+			m.sys.Release()
+		}
 	}
 
 	res := members[0].res

@@ -32,7 +32,8 @@ func GridSeed(gen core.Generation, mapIdx, scIdx, rep int) int64 {
 // run config (timing, observers, fault injection) or the scenario's
 // weather, and tune the system (replan cadence). Campaign workers call
 // hooks concurrently, one invocation per run; a hook must only touch the
-// arguments it is handed plus its own synchronized state.
+// arguments it is handed plus its own synchronized state, and must not
+// keep the system: RunGridCell releases it when the mission ends.
 type ConfigureFunc func(sc *worldgen.Scenario, sys *core.System, cfg *RunConfig)
 
 // RunGridCell resolves and executes one cell of the benchmark grid: it
@@ -40,7 +41,8 @@ type ConfigureFunc func(sc *worldgen.Scenario, sys *core.System, cfg *RunConfig)
 // repetitions and parallel workers reuse one immutable world per cell
 // instead of regenerating it — builds the system generation with the
 // given seed, applies the timing profile and the optional configure hook,
-// and flies the mission. Every execution path (parallel campaign workers,
+// and flies the mission, then releases the system's recycled buffers
+// (see core.System.Release). Every execution path (parallel campaign workers,
 // sequential -workers=1 campaigns, and the tests' nested reference loops)
 // funnels through this primitive, which is what guarantees their results
 // are bit-identical for the same cells.
@@ -59,6 +61,9 @@ func RunGridCell(gen core.Generation, mapIdx, scIdx int, seed int64,
 	if err != nil {
 		return Result{}, err
 	}
+	// Run returns only after the mission and its stages have stopped, and
+	// the Result holds no recycled buffer.
+	defer sys.Release()
 	cfg := DefaultRunConfig(seed)
 	cfg.Timing = timing
 	if configure != nil {

@@ -87,7 +87,7 @@ type perceptionJob struct {
 }
 
 // perceptionResult is one stage delivery. Slices are owned by the stage's
-// buffer ring and stay valid until at least ring-size further deliveries,
+// buffer rings and stay valid until at least ring-size further deliveries,
 // which the in-flight bound guarantees exceeds the apply distance.
 type perceptionResult struct {
 	tick          int
@@ -112,11 +112,14 @@ type perceptionStage struct {
 	jobs    chan perceptionJob
 	results chan perceptionResult
 
-	// depthRing rotates ownership of depth-point buffers across in-flight
-	// results so the camera's reused capture buffer can be copied out
-	// without allocating per frame.
+	// depthRing and detRing rotate ownership of depth-point and detection
+	// buffers across in-flight results, so the camera's reused capture
+	// buffer and the detector's reused result can be copied out without
+	// allocating per frame.
 	depthRing [][]core.DepthPoint
 	ringIdx   int
+	detRing   [][]detect.Detection
+	detIdx    int
 }
 
 func newPerceptionStage(k int) *perceptionStage {
@@ -125,6 +128,7 @@ func newPerceptionStage(k int) *perceptionStage {
 		jobs:      make(chan perceptionJob, bound),
 		results:   make(chan perceptionResult, bound),
 		depthRing: make([][]core.DepthPoint, bound),
+		detRing:   make([][]detect.Detection, bound),
 	}
 }
 
@@ -148,8 +152,12 @@ func (st *perceptionStage) run(m *mission) {
 		if job.frameDue {
 			if frame, ok := m.captureFrame(job.pos, job.yaw, job.speed, job.now); ok {
 				// Inference runs here, inside the stage, so the camera's reused
-				// frame buffer never has to outlive this iteration.
-				res.dets = m.sys.Detector().Detect(frame)
+				// frame buffer never has to outlive this iteration. The
+				// detector reuses its result too, so it is copied out.
+				dets := append(st.detRing[st.detIdx][:0], m.sys.Detector().Detect(frame)...)
+				st.detRing[st.detIdx] = dets
+				st.detIdx = (st.detIdx + 1) % len(st.detRing)
+				res.dets = dets
 				res.frameYaw = job.yaw
 				res.haveFrame = true
 				res.markerVisible = markerInView(m.w, m.sc, job.pos, job.yaw)

@@ -35,8 +35,9 @@ type planJob struct {
 	start, goal geom.Vec3
 }
 
-// planResult is one stage delivery. The path is freshly built by the
-// planner per request, so there is no buffer-ring ownership to manage.
+// planResult is one stage delivery. The path may be the planner's reused
+// buffer; it stays valid because at most one request is in flight and the
+// next one is submitted only after this delivery has been consumed.
 type planResult struct {
 	tick int
 	path []geom.Vec3

@@ -476,6 +476,8 @@ func Run(sc *worldgen.Scenario, sys *core.System, cfg RunConfig) Result {
 		return runFleet(sc, sys, cfg, fl)
 	}
 	m := newMission(sc, sys, cfg)
+	// Deferred first, so it runs last: after the stages have drained.
+	defer m.color.Release()
 	if k := m.t.PlanLatencyTicks; k >= 1 {
 		m.plans = newPlanStage(k)
 		go m.plans.run(m)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/vision"
@@ -487,6 +488,35 @@ type ColorCamera struct {
 	blur      *vision.Image
 }
 
+// Release hands the camera's frame and blur images back to the pool once
+// its mission has ended (and, in a pipelined mission, its perception
+// stage has drained). A frame returned by Capture is invalid afterwards;
+// a later Capture takes fresh images.
+func (c *ColorCamera) Release() {
+	putImage(c.frame)
+	putImage(c.blur)
+	c.frame, c.blur = nil, nil
+}
+
+// imagePool recycles camera images across missions.
+var imagePool sync.Pool // *vision.Image
+
+// getImage returns a black w×h image, recycled when the pool has one of
+// that size — the same contents as vision.NewImage.
+func getImage(w, h int) *vision.Image {
+	if im, ok := imagePool.Get().(*vision.Image); ok && im.W == w && im.H == h {
+		clear(im.Pix)
+		return im
+	}
+	return vision.NewImage(w, h)
+}
+
+func putImage(im *vision.Image) {
+	if im != nil {
+		imagePool.Put(im)
+	}
+}
+
 // NewColorCamera returns the downward D435i-color-stream stand-in.
 func NewColorCamera(seed int64) *ColorCamera {
 	return &ColorCamera{Intrinsics: vision.DefaultCamera(), rng: rand.New(rand.NewSource(seed))}
@@ -530,8 +560,8 @@ func (c *ColorCamera) Capture(w *World, weather Weather, pos geom.Vec3, yaw, spe
 		c.scene.OccluderFree = c.occFreeFn
 	}
 	if c.frame == nil || c.frame.W != cam.W || c.frame.H != cam.H {
-		c.frame = vision.NewImage(cam.W, cam.H)
-		c.blur = vision.NewImage(cam.W, cam.H)
+		c.frame = getImage(cam.W, cam.H)
+		c.blur = getImage(cam.W, cam.H)
 	}
 	c.scene.FastGround = c.Fast
 	c.scene.RenderInto(cam, c.frame)

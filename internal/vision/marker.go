@@ -3,6 +3,7 @@ package vision
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -157,9 +158,11 @@ func NewDictionary(n, minDist int, seed int64) (*Dictionary, error) {
 }
 
 // DefaultDictionary returns the 8-marker dictionary used throughout the
-// reproduction. Generation is deterministic, so every module sees the same
-// codes.
-func DefaultDictionary() *Dictionary {
+// reproduction. It is generated once per process and every call returns
+// the same instance, which callers share and must not modify.
+func DefaultDictionary() *Dictionary { return defaultDictionary() }
+
+var defaultDictionary = sync.OnceValue(func() *Dictionary {
 	d, err := NewDictionary(8, 4, 20250521)
 	if err != nil {
 		// Cannot happen for these parameters; treated as a programming
@@ -167,7 +170,7 @@ func DefaultDictionary() *Dictionary {
 		panic("vision: default dictionary generation failed: " + err.Error())
 	}
 	return d
-}
+})
 
 // Match finds the dictionary entry matching the observed code within
 // maxHamming bit errors, trying all four rotations. It returns the marker
